@@ -3,9 +3,7 @@
  * Minimal vendored micro-benchmark harness.
  *
  * A self-contained replacement for google-benchmark so the kernel
- * benchmarks build in every environment (bench_micro remains an
- * optional google-benchmark front-end for the same kernels). The
- * harness auto-calibrates an inner iteration count to a target wall
+ * benchmarks build in every environment. The harness auto-calibrates an inner iteration count to a target wall
  * time, repeats each benchmark several times, reports the best rep
  * (the standard microbenchmark estimator: least-disturbed run), and
  * writes machine-readable JSON — BENCH_kernels.json — including

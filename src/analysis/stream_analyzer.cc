@@ -30,20 +30,13 @@ struct ObjState
 {
     LocState vert = LocState::Unwritten;
     LocState host = LocState::Unwritten;
-    /** The validator's layout flag: a full vertical write happened
-     *  (or the entry view reported the object vertical). */
-    bool vflag = false;
     /**
-     * Hoisting-pass facts, tracked with EXACTLY the hoistPass state
-     * machine (src/stream/passes.cc) so the Redundant* rules fire
-     * precisely when the optimizer would elide: mirror = the two
-     * images coincide; hasConst = both hold constVal everywhere.
-     * Entry is all-false even in FromView mode — cross-submission
+     * Image facts stepped by stepImageFacts() (src/stream/passes.h),
+     * so the Redundant* rules fire exactly when hoisting would elide.
+     * Entry is all-unknown even in FromView mode — cross-submission
      * redundancy is the runtime stream cache's job, not the lint's.
      */
-    bool mirror = false;
-    bool hasConst = false;
-    uint64_t constVal = 0;
+    ImageFacts img;
     /** Last writer node per location, for DeadWrite attribution. */
     size_t lastWriterVert = kNoNode;
     size_t lastWriterHost = kNoNode;
@@ -65,10 +58,11 @@ definednessOf(const ObjState &s)
     return Definedness::Partial;
 }
 
+/** @p vertical is the validator's layout flag for the object. */
 AbstractLayout
-layoutOf(const ObjState &s)
+layoutOf(const ObjState &s, bool vertical)
 {
-    if (s.vflag)
+    if (vertical)
         return AbstractLayout::Vertical;
     if (s.host != LocState::Unwritten)
         return AbstractLayout::Horizontal;
@@ -162,17 +156,19 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
 {
     const size_t n_obj = view.objectCount();
     std::vector<ObjState> st(n_obj);
-    for (size_t i = 0; i < n_obj; ++i) {
-        const BbopObjectShape sh =
-            view.shape(static_cast<uint16_t>(i));
-        st[i].vflag = sh.vertical;
-        if (opts.entry == EntryAssumption::FromView) {
-            // The executor zero-fills every host image at
-            // defineObject() and keeps it live across submissions, so
-            // the host location always holds data; the vertical image
-            // is current iff the table says the object is vertical.
+    // The shared validator is the single source of truth for ISA
+    // malformedness and for the layout flag: it runs alongside the
+    // walk, its layout scratch evolving with the accepted program.
+    BbopValidator validator(view);
+    const std::vector<bool> &vertical = validator.layout();
+    if (opts.entry == EntryAssumption::FromView) {
+        // The executor zero-fills every host image at defineObject()
+        // and keeps it live across submissions, so the host location
+        // always holds data; the vertical image is current iff the
+        // table says the object is vertical.
+        for (size_t i = 0; i < n_obj; ++i) {
             st[i].host = LocState::Current;
-            st[i].vert = sh.vertical ? LocState::Current
+            st[i].vert = vertical[i] ? LocState::Current
                                      : LocState::Unwritten;
         }
     }
@@ -182,8 +178,6 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
     // Writes of each node not yet proven overwritten-before-read;
     // when a node's count hits zero it is a dead write.
     std::vector<size_t> pending(ir.nodes.size(), 0);
-
-    BbopValidator validator(view);
 
     for (size_t n = 0; n < ir.nodes.size(); ++n) {
         if (ir.nodes[n].dead)
@@ -202,6 +196,8 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
 
         const bool ok = analyzable(in, n_obj);
         BbopEffects eff{};
+        // The destination's image facts after this instruction.
+        ImageFacts img;
         if (ok) {
             eff = effectsOf(in);
 
@@ -243,27 +239,22 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
 
             // Redundant trsp/trsp_inv/init: fire exactly when the
             // hoisting pass would have elided the instruction.
-            if ((in.opcode == BbopOpcode::Trsp ||
-                 in.opcode == BbopOpcode::TrspInv) &&
-                st[in.dst].mirror) {
-                emit(LintRule::RedundantTrsp, LintSeverity::Warning,
-                     n, in.dst,
-                     toAsm(in) +
-                         " images already coincide; the hoisting "
-                         "pass should have elided this (node " +
-                         std::to_string(n) + ")");
-            }
-            if (in.opcode == BbopOpcode::Init) {
-                const ObjState &s = st[in.dst];
-                if (s.mirror && s.hasConst &&
-                    s.constVal == in.initImmediate()) {
+            img = st[in.dst].img;
+            if (stepImageFacts(img, in)) {
+                if (in.opcode == BbopOpcode::Init)
                     emit(LintRule::RedundantInit,
                          LintSeverity::Warning, n, in.dst,
                          toAsm(in) + " rebroadcasts constant " +
                              std::to_string(in.initImmediate()) +
                              " already in place (node " +
                              std::to_string(n) + ")");
-                }
+                else
+                    emit(LintRule::RedundantTrsp,
+                         LintSeverity::Warning, n, in.dst,
+                         toAsm(in) +
+                             " images already coincide; the hoisting "
+                             "pass should have elided this (node " +
+                             std::to_string(n) + ")");
             }
 
             // Read rules + the per-read facts translation validation
@@ -305,15 +296,14 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
                                  : (ls == LocState::Stale
                                         ? LocDefinedness::Stale
                                         : LocDefinedness::Current),
-                             layoutOf(s), s.hasConst,
-                             s.hasConst ? s.constVal : 0});
+                             layoutOf(s, vertical[r.obj]),
+                             s.img.hasConst,
+                             s.img.hasConst ? s.img.constVal : 0});
             }
         }
 
-        // The shared validator is the single source of truth for ISA
-        // malformedness: run it alongside (its layout scratch evolves
-        // with the program) and wrap rejections. A node a specific
-        // rule already flagged as an Error keeps that attribution.
+        // Wrap validator rejections. A node a specific rule already
+        // flagged as an Error keeps that attribution.
         bool accepted = true;
         try {
             validator.check(in);
@@ -362,66 +352,29 @@ analyzeStream(const StreamIR &ir, const BbopObjectView &view,
         }
         pending[n] = eff.numWrites;
 
-        // Per-opcode abstract state. Every bbop write covers the full
+        // Per-location definedness. Every bbop write covers the full
         // location, and the transposition opcodes SYNC the two
         // images, so after them both locations hold the (new) current
         // value — even when the source image was stale: the copy
-        // makes that stale data the object's value.
-        switch (in.opcode) {
-          case BbopOpcode::Trsp: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
+        // makes that stale data the object's value. Operations and
+        // shifts write the vertical image only.
+        ObjState &s = st[in.dst];
+        s.vert = LocState::Current;
+        if (in.opcode == BbopOpcode::Trsp ||
+            in.opcode == BbopOpcode::TrspInv ||
+            in.opcode == BbopOpcode::Init)
             s.host = LocState::Current;
-            s.mirror = true; // hasConst unchanged, as in hoistPass
-            s.vflag = true;
-            break;
-          }
-          case BbopOpcode::TrspInv: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
-            s.host = LocState::Current;
-            // Clear const-ness only when the images did NOT already
-            // coincide (the hoistPass rule): a redundant trsp_inv is
-            // an identity and must not perturb the facts, or the
-            // hoisting pass would (falsely) fail translation
-            // validation by removing it.
-            if (!s.mirror) {
-                s.mirror = true;
-                s.hasConst = false;
-            }
-            break;
-          }
-          case BbopOpcode::Init: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
-            s.host = LocState::Current;
-            s.mirror = true;
-            s.hasConst = true;
-            s.constVal = in.initImmediate();
-            s.vflag = true;
-            break;
-          }
-          case BbopOpcode::Op:
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR: {
-            ObjState &s = st[in.dst];
-            s.vert = LocState::Current;
-            if (s.host == LocState::Current)
-                s.host = LocState::Stale;
-            s.mirror = false;
-            s.hasConst = false;
-            s.vflag = true;
-            break;
-          }
-        }
+        else if (s.host == LocState::Current)
+            s.host = LocState::Stale;
+        s.img = img;
     }
 
     res.exitState.resize(n_obj);
     for (size_t i = 0; i < n_obj; ++i) {
         const ObjState &s = st[i];
         res.exitState[i] = AbstractObjectState{
-            definednessOf(s), layoutOf(s), s.hasConst,
-            s.hasConst ? s.constVal : 0, s.lastWriter};
+            definednessOf(s), layoutOf(s, vertical[i]), s.img.hasConst,
+            s.img.hasConst ? s.img.constVal : 0, s.lastWriter};
     }
     return res;
 }

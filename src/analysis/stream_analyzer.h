@@ -17,11 +17,14 @@
  *
  *  - definedness  — Unwritten / Partial / Full, per storage location
  *    (the vertical bit-serial image and the horizontal host image);
- *  - layout       — Unknown / Horizontal / Vertical, mirroring the
- *    executor's layout commit rules (full vertical writes establish
- *    the vertical layout);
- *  - const-ness   — whether both images provably hold one broadcast
- *    constant (the same facts the trsp/init hoisting pass computes);
+ *  - layout       — Unknown / Horizontal / Vertical, read from the
+ *    layout() of the BbopValidator that runs alongside (the flags
+ *    the executor commits: full vertical writes establish the
+ *    vertical layout);
+ *  - image facts  — whether the two images coincide and whether both
+ *    provably hold one broadcast constant, stepped by
+ *    stepImageFacts() (src/stream/passes.h), the transfer function
+ *    hoisting and the runtime stream cache step too;
  *  - last writer  — the node index that last wrote each location.
  *
  * Lint rules evaluate against that state and emit typed

@@ -12,7 +12,6 @@
 
 #include "baseline/host_kernels.h"
 #include "common/error.h"
-#include "stream/passes.h"
 
 namespace simdram
 {
@@ -366,18 +365,14 @@ StreamExecutor::writeObject(uint16_t id,
     if (data.size() != obj.elements)
         fatal("StreamExecutor::writeObject: element count mismatch");
     obj.hostImage = data;
-    obj.cache.hasConst = false;
-    if (obj.vertical) {
-        // Keep the vertical copy coherent, as the dispatcher does on
-        // a horizontal write to a transposed object — which also
-        // means a subsequent trsp of this object is redundant and
-        // the stream cache may elide it.
+    // Keep the vertical copy coherent, as the dispatcher does on a
+    // horizontal write to a transposed object — which also means a
+    // subsequent trsp of this object is redundant and the stream
+    // cache may elide it.
+    if (obj.vertical)
         group_->store(obj.vec, obj.hostImage);
-        obj.cache.vertClean = true;
-        obj.cache.cleanGen = group_->mutationGen(obj.vec);
-    } else {
-        obj.cache.vertClean = false;
-    }
+    obj.cache.facts = ImageFacts{obj.vertical, false, 0};
+    obj.cache.cleanGen = group_->mutationGen(obj.vec);
 }
 
 std::vector<uint64_t>
@@ -422,13 +417,6 @@ StreamExecutor::resolveSegment(
 
     size_t cached_trsp = 0;
     size_t cached_init = 0;
-    const bool use_cache = opts_.enableStreamCache;
-    // An entry is only trustworthy while no out-of-band DeviceGroup
-    // write touched the backing vector since it was recorded.
-    auto cacheValid = [&](const Object *o, const CacheState &cs) {
-        return cs.vertClean &&
-               cs.cleanGen == group_->mutationGen(o->vec);
-    };
 
     std::vector<PreparedInstr> out;
     out.reserve(seg.size());
@@ -460,54 +448,20 @@ StreamExecutor::resolveSegment(
         }
 
         // Stream-cache decision (submission order == execution
-        // order, so this pass sees exactly the state each
-        // instruction will observe). A redundant trsp/trsp_inv/init
-        // is marked skip; every executed instruction updates the
-        // scratch shadow.
-        switch (in.opcode) {
-          case BbopOpcode::Trsp:
-          case BbopOpcode::TrspInv: {
-            CacheState &cs = cache[in.dst];
-            if (use_cache && cacheValid(pi.dst, cs)) {
-                // Vertical and horizontal images already coincide:
-                // re-running either transposition rewrites identical
-                // data.
-                pi.skip = true;
-                ++cached_trsp;
-                break;
-            }
-            if (in.opcode == BbopOpcode::TrspInv)
-                cs.hasConst = false; // host := unknown vertical data
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::Init: {
-            CacheState &cs = cache[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (use_cache && cacheValid(pi.dst, cs) && cs.hasConst &&
-                cs.constVal == imm) {
-                pi.skip = true;
-                ++cached_init;
-                break;
-            }
-            cs.hasConst = true;
-            cs.constVal = imm;
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR:
-          case BbopOpcode::Op: {
-            // The op writes the destination's vertical storage only:
-            // the horizontal image goes stale and any constant-ness
-            // is gone.
-            CacheState &cs = cache[in.dst];
-            cs.vertClean = false;
-            cs.hasConst = false;
-            break;
-          }
+        // order, so this sees exactly the state each instruction will
+        // observe). An out-of-band DeviceGroup write since the facts
+        // were recorded voids the mirror; then the one transfer
+        // function decides, and a redundant instruction is skipped.
+        CacheState &cs = cache[in.dst];
+        const uint64_t gen = group_->mutationGen(pi.dst->vec);
+        if (cs.cleanGen != gen) {
+            cs.facts.mirror = false;
+            cs.cleanGen = gen;
+        }
+        if (stepImageFacts(cs.facts, in) && opts_.enableStreamCache) {
+            pi.skip = true;
+            ++(in.opcode == BbopOpcode::Init ? cached_init
+                                             : cached_trsp);
         }
 
         // Attach every operand's per-device shard views, so the
@@ -819,6 +773,14 @@ StreamExecutor::workerMain(size_t d)
             dcompute = diff(group_->deviceComputeStats(d), c0);
             dtransfer = diff(group_->deviceTransferStats(d), t0);
         }
+        // submit() committed this stream's stream-cache facts before
+        // any device ran it; a stream that failed here may have left
+        // them untrue on this device. Invalidate them before
+        // completion is signalled, so a stream submitted after wait()
+        // re-validates.
+        if (err)
+            for (const PreparedInstr &pi : *job.prog)
+                group_->noteExternalMutation(pi.dst->vec);
 
         {
             detail::StreamState &st = *job.state;

@@ -45,16 +45,16 @@
  *  - writeObject()/readObject() synchronize (drain all pending
  *    streams) before touching host images.
  *  - Stream cache (StreamExecutorOptions::enableStreamCache, on by
- *    default): repeated bbop_trsp / bbop_trsp_inv / bbop_init of
- *    objects whose tracked state proves them redundant are elided at
- *    submit() time — within one stream and across streams — with
- *    generation-tagged invalidation on every write (bbop op/shift/
- *    init outputs, writeObject, and out-of-band DeviceGroup writes
- *    via mutationGen()). Memory state is bit-exact with the cache
- *    off; only the per-stream DramStats shrink. Pipelined apps that
- *    resubmit self-contained streams (knn re-transposing its
- *    reference set per query, nn re-broadcasting weights per tile)
- *    stop paying for data that has not changed.
+ *    default): repeated bbop_trsp / bbop_trsp_inv / bbop_init that
+ *    stepImageFacts() (src/stream/passes.h) proves redundant are
+ *    elided at submit() time — within one stream and across streams
+ *    — with generation-tagged invalidation of out-of-band
+ *    DeviceGroup writes and failed streams (mutationGen()). Memory
+ *    state is bit-exact with the cache off; only the per-stream
+ *    DramStats shrink. Pipelined apps that resubmit self-contained
+ *    streams (knn re-transposing its reference set per query, nn
+ *    re-broadcasting weights per tile) stop paying for data that has
+ *    not changed.
  *  - Optimizer passes (src/stream/passes.h): every submitted program
  *    — a raw instruction vector lifted to a one-segment StreamIR, or
  *    a multi-segment IR from StreamBuilder — runs through the pass
@@ -94,6 +94,7 @@
 #include "isa/bbop.h"
 #include "isa/validate.h"
 #include "runtime/device_group.h"
+#include "stream/passes.h"
 #include "stream/stream_ir.h"
 
 namespace simdram
@@ -259,16 +260,15 @@ struct StreamExecutorOptions
     BackpressurePolicy onFull = BackpressurePolicy::Block;
     /**
      * Stream-level trsp/init cache: when enabled, submit() elides
-     * instructions that are provably redundant against the objects'
-     * tracked layout/content state — a bbop_trsp (or trsp_inv) of an
-     * object whose vertical and horizontal images are already
-     * coherent, or a bbop_init re-broadcasting the value the object
-     * already holds everywhere. Elision is decided in submission
-     * order, tagged with the DeviceGroup mutation generation of the
-     * backing vector (any out-of-band synchronous write invalidates),
-     * and is invisible except in statistics: memory state is
-     * bit-exact with the cache disabled, per-stream DramStats simply
-     * stop paying for re-transposes of unchanged data. Skipped
+     * the bbop_trsp / trsp_inv / init instructions that
+     * stepImageFacts() (src/stream/passes.h) proves redundant against
+     * the per-object image facts committed by earlier submissions.
+     * The facts are tagged with the DeviceGroup mutation generation
+     * of the backing vector (any out-of-band synchronous write, and
+     * any stream that fails on a device, invalidates them). Elision
+     * is invisible except in statistics: memory state is bit-exact
+     * with the cache disabled, per-stream DramStats simply stop
+     * paying for re-transposes of unchanged data. Skipped
      * instructions are reported in StreamResult::cachedInstructions.
      */
     bool enableStreamCache = true;
@@ -276,11 +276,13 @@ struct StreamExecutorOptions
      * Optimizer pass toggles (src/stream/passes.h), each independent:
      * fusion merges adjacent submitted segments sharing an operand
      * into one device pass; dead-write elimination drops writes
-     * overwritten before any read; trsp hoisting statically removes
-     * transposes/inits whose effect is already in place within the
-     * submitted program (the stream cache above remains the dynamic,
-     * cross-submission backstop). All three preserve memory state and
-     * final layout bit-exactly.
+     * overwritten before any read; trsp hoisting removes the
+     * instructions stepImageFacts() proves redundant within the
+     * submitted program, from all-unknown entry facts (what it
+     * removes counts in optimizedInstructions; the stream cache above
+     * applies the same function across submissions and counts in
+     * cachedInstructions). All three preserve memory state and final
+     * layout bit-exactly.
      */
     bool enableFusion = true;
     bool enableDeadWriteElim = true;
@@ -325,7 +327,11 @@ struct StreamExecutorOptions
      * Per-stream deadline in host microseconds over the end-to-end
      * clock (submit entry → device start/retry); 0 disables. A worker
      * that picks up (or would retry) a stream past its deadline fails
-     * it with StreamDeadlineError instead of executing.
+     * it with StreamDeadlineError instead of executing. A failed
+     * stream invalidates the stream-cache facts of every object it
+     * writes before its completion is signalled; streams already
+     * queued behind it were resolved against its elisions at submit
+     * time and are NOT re-resolved (a known gap).
      */
     double deadlineUs = 0.0;
     /**
@@ -680,19 +686,16 @@ class StreamExecutor : public StreamService, private BbopObjectView
         std::shared_ptr<const std::vector<DeviceGroup::ShardView>>;
 
     /**
-     * Cache-relevant shadow state of one object, tracked in
-     * submission order under submit_mu_ (which matches execution:
-     * every device runs streams in submission order, and host
-     * accesses drain first).
+     * Stream-cache state of one object: its image facts, stepped by
+     * stepImageFacts() (src/stream/passes.h) in submission order
+     * under submit_mu_ (which matches execution: every device runs
+     * streams in submission order, and host accesses drain first).
      */
     struct CacheState
     {
-        /** Vertical storage holds exactly the horizontal image. */
-        bool vertClean = false;
-        /** Both images hold the broadcast constant constVal. */
-        bool hasConst = false;
-        uint64_t constVal = 0;
-        /** DeviceGroup::mutationGen() when vertClean was set. */
+        ImageFacts facts;
+        /** DeviceGroup::mutationGen() the facts were last checked
+         *  against; a mismatch voids facts.mirror. */
         uint64_t cleanGen = 0;
     };
 

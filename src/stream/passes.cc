@@ -26,74 +26,19 @@ objectBound(const StreamIR &ir)
 }
 
 /**
- * Forward scan removing trsp/trsp_inv/init instructions whose effect
- * is already in place. Tracks, per object, whether the vertical and
- * host images coincide and whether they hold a known broadcast
- * constant — the same state machine as the runtime stream cache
- * (stream_executor.cc), but static over the whole submitted program,
- * so it fires within one submission where the runtime cache only
- * fires across them. Entry state is all-unknown: nothing is assumed
- * about images produced before this program.
+ * Forward scan removing the instructions stepImageFacts() proves
+ * redundant. Entry facts are all-unknown: nothing is assumed about
+ * images produced before this program.
  */
 size_t
 hoistPass(StreamIR &ir)
 {
-    struct Fact
-    {
-        bool mirror = false;   ///< vert image == host image.
-        bool hasConst = false; ///< Both hold this broadcast constant.
-        uint64_t constVal = 0;
-    };
-    std::vector<Fact> facts(objectBound(ir));
-
+    std::vector<ImageFacts> facts(objectBound(ir));
     size_t hoisted = 0;
     for (auto &n : ir.nodes) {
-        if (n.dead)
-            continue;
-        const BbopInstr &in = n.instr;
-        switch (in.opcode) {
-          case BbopOpcode::Trsp: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-            }
-            break;
-          }
-          case BbopOpcode::TrspInv: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = false;
-            }
-            break;
-          }
-          case BbopOpcode::Init: {
-            Fact &f = facts[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (f.mirror && f.hasConst && f.constVal == imm) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = true;
-                f.constVal = imm;
-            }
-            break;
-          }
-          case BbopOpcode::Op:
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR: {
-            Fact &f = facts[in.dst];
-            f.mirror = false;
-            f.hasConst = false;
-            break;
-          }
+        if (!n.dead && stepImageFacts(facts[n.instr.dst], n.instr)) {
+            n.dead = true;
+            ++hoisted;
         }
     }
     return hoisted;
@@ -203,6 +148,39 @@ fusionPass(StreamIR &ir)
 }
 
 } // namespace
+
+bool
+stepImageFacts(ImageFacts &f, const BbopInstr &in)
+{
+    switch (in.opcode) {
+      case BbopOpcode::Trsp:
+      case BbopOpcode::TrspInv:
+        // Either transposition copies one image over the other:
+        // redundant once they coincide. trsp_inv replaces the host
+        // image with vertical data of unknown content; trsp copies
+        // the host image, so a constant it holds carries over.
+        if (f.mirror)
+            return true;
+        f.mirror = true;
+        if (in.opcode == BbopOpcode::TrspInv)
+            f.hasConst = false;
+        return false;
+      case BbopOpcode::Init: {
+        const uint64_t imm = in.initImmediate();
+        if (f.mirror && f.hasConst && f.constVal == imm)
+            return true;
+        f = ImageFacts{true, true, imm};
+        return false;
+      }
+      case BbopOpcode::Op:
+      case BbopOpcode::ShiftL:
+      case BbopOpcode::ShiftR:
+        // Writes the vertical image only: the host image goes stale.
+        f = ImageFacts{};
+        return false;
+    }
+    return false;
+}
 
 PassStats
 runPasses(StreamIR &ir, const PassOptions &opts)

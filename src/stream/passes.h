@@ -7,15 +7,21 @@
  *
  *   1. trsp/init hoisting — a forward scan that removes transpose
  *      and constant-fill instructions whose effect is already in
- *      place (the static, whole-program generalization of the
- *      runtime's cross-submission stream cache, which stays as the
- *      dynamic backstop);
+ *      place;
  *   2. dead-write elimination — a backward scan over the
  *      effectsOf() read/write sets that removes instructions whose
  *      every written location is overwritten before any read;
  *   3. fusion — adjacent segments that share an operand object are
  *      merged into one device pass, eliding the per-stream
  *      queue/dispatch round trip between them.
+ *
+ * "Already in place" is decided by stepImageFacts() below, the one
+ * definition of the per-object image facts and their transfer
+ * function. Hoisting runs it from all-unknown facts over the whole
+ * program; the analyzer's RedundantTrsp/RedundantInit rules
+ * (src/analysis) run it over the same program; the executor's stream
+ * cache (src/runtime/stream_executor.h) runs it across submissions
+ * from the facts committed by earlier streams.
  *
  * Every write in the bbop ISA is a FULL write of its location, and
  * the validator lets full vertical writes establish the vertical
@@ -33,11 +39,33 @@
 #define SIMDRAM_STREAM_PASSES_H
 
 #include <cstddef>
+#include <cstdint>
 
 #include "stream/stream_ir.h"
 
 namespace simdram
 {
+
+/**
+ * What is known about one object's two images (the vertical
+ * bit-serial image and the horizontal host image).
+ */
+struct ImageFacts
+{
+    bool mirror = false;   ///< The two images hold the same data.
+    bool hasConst = false; ///< Both hold constVal in every element.
+    uint64_t constVal = 0;
+};
+
+/**
+ * Steps the facts @p f of @p in's destination object over @p in.
+ *
+ * @return True iff @p in is redundant — a bbop_trsp/bbop_trsp_inv of
+ *         mirrored images, or a bbop_init of the constant both images
+ *         already hold — in which case @p f is left unchanged.
+ *         Otherwise applies @p in's effect to @p f and returns false.
+ */
+bool stepImageFacts(ImageFacts &f, const BbopInstr &in);
 
 /** Which passes to run; all on by default. */
 struct PassOptions

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -353,6 +354,49 @@ TEST(FaultTolerance, DeadlineExpiryIsTypedUnderAStalledDevice)
     // deadline long gone, and fails it typed instead of running late.
     EXPECT_TRUE(h.waitFor(60e6));
     EXPECT_THROW(h.wait(), StreamDeadlineError);
+}
+
+TEST(FaultTolerance, DeadlineExpiredStreamDoesNotPoisonTheStreamCache)
+{
+    // submit() commits the stream cache's facts before any device
+    // runs the stream. A stream that then fails at its deadline check
+    // on one device leaves that device's shard untransposed, so the
+    // failing worker must invalidate the facts before completion is
+    // signalled, or the next trsp of the object is wrongly elided.
+    const size_t n = 300; // shards on both devices
+    const std::vector<uint64_t> da = randomData(n, 0xff, 53);
+    auto run = [&](bool cache) {
+        DeviceGroup g(testCfg(), 2);
+        StreamExecutorOptions o =
+            faultOpts(IntegrityMode::Off, /*attempts=*/1,
+                      /*quarantine=*/0, /*deadlineUs=*/20000.0);
+        o.enableStreamCache = cache;
+        StreamExecutor ex(g, o);
+        const uint16_t a = ex.defineObject(n, 8);
+        const uint16_t y = ex.defineObject(n, 8);
+        ex.writeObject(a, da);
+
+        StreamHandle h;
+        {
+            DevicePin pin(g, 0);
+            h = ex.submit({BbopInstr::trsp(a, 8)});
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        EXPECT_THROW(h.wait(), StreamDeadlineError);
+
+        const StreamResult r = ex.submit(addStream(a, y)).wait();
+        EXPECT_EQ(r.cachedInstructions, 0u) << "cache=" << cache;
+        return ex.readObject(y);
+    };
+
+    const std::vector<uint64_t> off = run(false);
+    const std::vector<uint64_t> on = run(true);
+    size_t wrong = 0;
+    for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(off[i], (da[i] * 2) & 0xff) << i;
+        wrong += on[i] != off[i] ? 1 : 0;
+    }
+    EXPECT_EQ(wrong, 0u) << "lanes of y differ with the cache on";
 }
 
 TEST(FaultTolerance, WaitForIsANonConsumingReadinessProbe)

@@ -4,16 +4,19 @@
  * sets, lift/lower round-trips, each optimizer pass in isolation
  * (trsp/init hoisting, dead-write elimination, segment fusion), the
  * StreamBuilder's width derivation and ping-pong accumulate helper,
- * the executor's pass toggles and split cache counters, and a
+ * the executor's pass toggles and split cache counters, a
  * randomized differential check that a passes-on executor stays
- * bit-exact with a passes-off one over multi-segment programs. Runs
- * under ThreadSanitizer in CI alongside stream_cache_test.
+ * bit-exact with a passes-off one over multi-segment programs, and a
+ * randomized check that hoisting, the analyzer's Redundant* rules and
+ * the runtime stream cache elide the same instructions. Runs under
+ * ThreadSanitizer in CI alongside stream_cache_test.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "analysis/stream_analyzer.h"
 #include "runtime/stream_executor.h"
 #include "stream/passes.h"
 #include "stream/stream_builder.h"
@@ -454,6 +457,61 @@ TEST(StreamExecutorPasses, SplitCacheCountersAttributeTrspAndInit)
               ex.cacheTrspHits() + ex.cacheInitHits());
 }
 
+// ---- Randomized programs ------------------------------------------
+
+/**
+ * Appends one to three random segments of one to five instructions
+ * over the 16-bit objects @p v16 and the 1-bit mask @p m. Every
+ * program is valid once all four objects are vertical.
+ */
+void
+appendRandomProgram(StreamBuilder &builder, Rng &rng,
+                    const uint16_t (&v16)[3], uint16_t m)
+{
+    const size_t nsegs = 1 + rng.below(3);
+    for (size_t s = 0; s < nsegs; ++s) {
+        if (s > 0)
+            builder.nextStream();
+        const size_t len = 1 + rng.below(5);
+        for (size_t i = 0; i < len; ++i) {
+            const uint16_t o1 = v16[rng.below(3)];
+            uint16_t dst = v16[rng.below(3)];
+            while (dst == o1)
+                dst = v16[rng.below(3)];
+            switch (rng.below(8)) {
+              case 0:
+                builder.trsp(o1);
+                break;
+              case 1:
+                builder.trspInv(o1);
+                break;
+              case 2:
+                builder.init(o1, rng.below(100));
+                break;
+              case 3:
+                builder.unary(OpKind::Abs, dst, o1);
+                break;
+              case 4:
+                // src1 == src2 is legal; only in-place (dst
+                // aliasing an operand) is not.
+                builder.binary(rng.below(2) != 0 ? OpKind::Add
+                                                 : OpKind::Sub,
+                               dst, o1, o1);
+                break;
+              case 5:
+                builder.binary(OpKind::Gt, m, o1, dst);
+                break;
+              case 6:
+                builder.predicated(OpKind::IfElse, dst, o1, o1, m);
+                break;
+              case 7:
+                builder.shiftLeft(dst, o1, 1 + rng.below(7));
+                break;
+            }
+        }
+    }
+}
+
 // ---- Randomized differential: passes on vs off ----------------------
 
 class StreamIRDiffTest : public ::testing::TestWithParam<size_t>
@@ -489,50 +547,7 @@ TEST_P(StreamIRDiffTest, RandomProgramsStayBitExact)
     const uint16_t v16[] = {a, b, y};
     for (int round = 0; round < 40; ++round) {
         StreamBuilder builder(rig.opt); // widths only; not submitted
-        const size_t nsegs = 1 + rng.below(3);
-        for (size_t s = 0; s < nsegs; ++s) {
-            if (s > 0)
-                builder.nextStream();
-            const size_t len = 1 + rng.below(5);
-            for (size_t i = 0; i < len; ++i) {
-                const uint16_t o1 = v16[rng.below(3)];
-                uint16_t dst = v16[rng.below(3)];
-                while (dst == o1)
-                    dst = v16[rng.below(3)];
-                switch (rng.below(8)) {
-                  case 0:
-                    builder.trsp(o1);
-                    break;
-                  case 1:
-                    builder.trspInv(o1);
-                    break;
-                  case 2:
-                    builder.init(o1, rng.below(100));
-                    break;
-                  case 3:
-                    builder.unary(OpKind::Abs, dst, o1);
-                    break;
-                  case 4:
-                    // src1 == src2 is legal; only in-place (dst
-                    // aliasing an operand) is not.
-                    builder.binary(rng.below(2) != 0 ? OpKind::Add
-                                                     : OpKind::Sub,
-                                   dst, o1, o1);
-                    break;
-                  case 5:
-                    builder.binary(OpKind::Gt, m, o1, dst);
-                    break;
-                  case 6:
-                    builder.predicated(OpKind::IfElse, dst, o1, o1,
-                                       m);
-                    break;
-                  case 7:
-                    builder.shiftLeft(dst, o1,
-                                      1 + rng.below(7));
-                    break;
-                }
-            }
-        }
+        appendRandomProgram(builder, rng, v16, m);
         const auto [ro, rr] = rig.runIR(builder.build());
         size_t ocount = 0, rcount = 0;
         for (const auto &r : ro) {
@@ -560,6 +575,59 @@ TEST_P(StreamIRDiffTest, RandomProgramsStayBitExact)
     EXPECT_GT(optimized, 0u);
     EXPECT_EQ(rig.opt.optimizedInstructionCount(), optimized);
     EXPECT_EQ(rig.ref.optimizedInstructionCount(), 0u);
+}
+
+TEST_P(StreamIRDiffTest, HoistLintAndCacheElideTheSameInstructions)
+{
+    // Hoisting, the analyzer's Redundant* rules and the runtime
+    // stream cache all step stepImageFacts() from all-unknown entry
+    // facts here (each program first establishes every layout, and
+    // runs on a fresh executor whose cache has recorded nothing), so
+    // all three must elide exactly the same number of instructions.
+    const size_t n = 520;
+    Rng rng(0xa9ee);
+    size_t elided = 0;
+    for (int round = 0; round < 40; ++round) {
+        DeviceGroup g(testCfg(), GetParam());
+        StreamExecutor ex(g, noPassesOpts(/*cache=*/true));
+        BbopObjectTable table;
+        const uint16_t v16[] = {ex.defineObject(n, 16),
+                                ex.defineObject(n, 16),
+                                ex.defineObject(n, 16)};
+        const uint16_t m = ex.defineObject(n, 1);
+        for (int i = 0; i < 3; ++i)
+            ASSERT_EQ(table.define(n, 16), v16[i]);
+        ASSERT_EQ(table.define(n, 1), m);
+
+        StreamBuilder builder(ex);
+        builder.trsp(v16[0]).trsp(v16[1]).trsp(v16[2]).trsp(m);
+        appendRandomProgram(builder, rng, v16, m);
+        const StreamIR ir = builder.build();
+        BbopValidator validator(table);
+        for (const StreamNode &node : ir.nodes)
+            ASSERT_NO_THROW(validator.check(node.instr));
+
+        StreamIR hoistedIR = ir;
+        const size_t hoisted =
+            runPasses(hoistedIR, PassOptions{true, false, false})
+                .hoisted;
+
+        const AnalysisResult ar = analyzeStream(
+            ir, table, AnalyzerOptions{EntryAssumption::FromView});
+        const size_t redundant = ar.count(LintRule::RedundantTrsp) +
+                                 ar.count(LintRule::RedundantInit);
+
+        size_t cached = 0;
+        for (StreamHandle &h : ex.submit(ir)) {
+            const StreamResult r = h.wait();
+            cached += r.cachedTrspInstructions + r.cachedInitInstructions;
+        }
+
+        EXPECT_EQ(redundant, hoisted) << "round " << round;
+        EXPECT_EQ(cached, hoisted) << "round " << round;
+        elided += hoisted;
+    }
+    EXPECT_GT(elided, 0u);
 }
 
 } // namespace
